@@ -21,7 +21,7 @@ from .bounds import (
     monte_carlo_coverage,
     verify_ensemble_bound,
 )
-from .clustering import ClusterSet, ElbowCurve, assign, elbow_select, kmeans
+from .clustering import ClusterSet, ElbowCurve, elbow_select, kmeans
 from .ensemble import (
     MODEL2_SEED_OFFSET,
     TIERS,
@@ -34,10 +34,7 @@ from .ensemble import (
     TierReport,
     TierVerdict,
     analyze_model,
-    classify,
     classify_batch,
-    collect_bad_training_points,
-    good_vote,
     large_model_route,
     load_bundle,
     make_partitions,
@@ -55,13 +52,11 @@ from .features import (
     split_mean_feature,
 )
 from .network import (
-    ActivationTrace,
     Dataset,
     Network,
     NetworkConfig,
     TrainConfig,
     accuracy,
-    forward,
     forward_batch,
     init_network,
     load_network,
@@ -78,11 +73,10 @@ from .paths import (
     Path,
     PathModel,
     Split,
-    SplitStats,
+    SplitTable,
     Verdict,
     build_path_model,
     classify_point,
-    compute_path,
     compute_paths,
     grid_search,
     split_stats,

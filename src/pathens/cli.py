@@ -26,10 +26,23 @@ from .bounds import (
     monte_carlo_coverage,
 )
 from .dataio import load_csv, load_idx, save_csv
-from .ensemble import analyze_model, classify_batch, load_bundle, tier_report, train_ensemble
+from .ensemble import (
+    _member_model_to_doc,
+    analyze_model,
+    classify_batch,
+    load_bundle,
+    tier_report,
+    train_ensemble,
+)
 from .network import Dataset, accuracy, init_network, save_network, load_network, train
-from .paths import save_path_model, stats_to_doc
-from .pipeline import PipelineError, emit_split_features, run_pipeline
+from .paths import save_path_model
+from .pipeline import (
+    PipelineError,
+    emit_split_features,
+    load_dataset,
+    run_pipeline,
+    write_predictions,
+)
 from .report import canonical_json, format_percent, format_tier_tables, render_report
 from .runconfig import ConfigError, RunConfig, load_run_config
 
@@ -42,22 +55,6 @@ def _add_config_args(p: argparse.ArgumentParser):
 
 def _load_cfg(args) -> RunConfig:
     return load_run_config(args.config, args.overrides)
-
-
-def _load_train_data(cfg: RunConfig) -> Dataset:
-    from .pipeline import _load_source
-    ds = _load_source(cfg.train_source)
-    if cfg.limit_train > 0:
-        ds = ds.subset(np.arange(min(cfg.limit_train, len(ds))))
-    return ds
-
-
-def _load_test_data(cfg: RunConfig) -> Dataset:
-    from .pipeline import _load_source
-    ds = _load_source(cfg.test_source)
-    if cfg.limit_test > 0:
-        ds = ds.subset(np.arange(min(cfg.limit_test, len(ds))))
-    return ds
 
 
 def _holdout(ds: Dataset, fraction: float):
@@ -88,7 +85,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    data = _load_train_data(cfg)
+    data = load_dataset(cfg, "train")
     train_set, val_set = _holdout(data, args.val_fraction)
     net = train(init_network(cfg.net_cfg, cfg.train_cfg.rng_seed),
                 train_set, val_set, cfg.train_cfg)
@@ -99,7 +96,7 @@ def cmd_train(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _load_cfg(args)
-    data = _load_train_data(cfg)
+    data = load_dataset(cfg, "train")
     train_set, val_set = _holdout(data, args.val_fraction)
     net = load_network(args.network)
     mm, train_good = analyze_model(
@@ -108,16 +105,9 @@ def cmd_analyze(args) -> int:
     out = FsPath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_path_model(mm.path_model, out / "path_model.json")
-    (out / "stats.json").write_text(canonical_json(stats_to_doc(mm.stats)))
-    (out / "filter.json").write_text(canonical_json({
-        "max_norm_distance": ("inf" if np.isinf(mm.params.max_norm_distance)
-                              else mm.params.max_norm_distance),
-        "min_split_count": mm.params.min_split_count,
-        "min_split_accuracy": mm.params.min_split_accuracy,
-        "retained_count": mm.search.retained_count,
-        "retained_accuracy": mm.search.retained_accuracy,
-        "met_target": mm.search.met_target,
-    }))
+    doc = _member_model_to_doc(mm)
+    (out / "stats.json").write_text(canonical_json(doc["stats"]))
+    (out / "filter.json").write_text(canonical_json({**doc["params"], **doc["search"]}))
     flag = "" if mm.search.met_target else " (target missed)"
     print(f"filter keeps {int(train_good.sum())}/{len(train_set)} train points; "
           f"validation retains {mm.search.retained_count}/{len(val_set)} at "
@@ -129,7 +119,7 @@ def cmd_analyze(args) -> int:
 def cmd_ensemble_train(args) -> int:
     from .ensemble import save_bundle
     cfg = _load_cfg(args)
-    data = _load_train_data(cfg)
+    data = load_dataset(cfg, "train")
     bundle = train_ensemble(
         data, cfg.scheme, cfg.net_cfg, cfg.train_cfg, cfg.grid, cfg.target_accuracy,
         cluster_policy=cfg.cluster_policy, agreement=cfg.agreement,
@@ -143,25 +133,21 @@ def cmd_ensemble_train(args) -> int:
 
 def cmd_ensemble_test(args) -> int:
     cfg = _load_cfg(args)
-    test_data = _load_test_data(cfg)
+    test_data = load_dataset(cfg, "test")
     bundle = load_bundle(args.bundle)
     tiers = classify_batch(bundle, test_data.points)
     labels = np.asarray([tv.label for tv in tiers])
     tr = tier_report(tiers, labels, test_data.labels)
     print(format_tier_tables(tr))
     if args.out:
-        lines = ["index,tier,label,truth"] + [
-            f"{i},{tv.tier},{tv.label},{int(t)}"
-            for i, (tv, t) in enumerate(zip(tiers, test_data.labels))
-        ]
-        FsPath(args.out).write_text("\n".join(lines) + "\n")
+        write_predictions(args.out, tiers, labels, test_data.labels)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
     cfg = _load_cfg(args)
-    data = _load_train_data(cfg)
+    data = load_dataset(cfg, "train")
     bundle = load_bundle(args.bundle)
     mm = bundle.members[0].model1
     fold_train = data.subset(bundle.folds()[0][0])

@@ -72,12 +72,6 @@ class ClusterSet:
         return np.where(d == 0.0, 0.0, np.inf)
 
 
-def assign(cs: ClusterSet, point):
-    """(cluster_id, distance, normalized distance) for one point."""
-    ids, dist = cs.assign_batch(np.asarray(point, dtype=np.float64)[None, :])
-    return int(ids[0]), float(dist[0]), float(cs.normalize(dist)[0])
-
-
 @dataclass
 class ElbowCurve:
     """Inertia per candidate k, plus the chosen k."""

@@ -37,6 +37,7 @@ from .paths import (
     KPolicy,
     ParamGrid,
     PathModel,
+    SplitTable,
     compute_paths,
     build_path_model,
     filter_features,
@@ -109,11 +110,12 @@ def make_partitions(n: int, scheme: PartitionScheme) -> list[tuple[np.ndarray, n
 
 @dataclass
 class MemberModel:
-    """One trained network plus everything its filter needs."""
+    """One trained network plus everything its filter needs: the path
+    model, the split table over the stats basis, and the chosen thresholds."""
 
     net: Network
     path_model: PathModel
-    stats: dict
+    stats: SplitTable
     params: FilterParams
     search: GridSearchResult
 
@@ -145,6 +147,13 @@ class EnsembleBundle:
             raise ValueError("member count must equal fold count")
         if self.agreement not in AGREEMENT_MODES:
             raise ValueError(f"agreement must be one of {AGREEMENT_MODES}")
+        if self.stats_basis not in STATS_BASES:
+            raise ValueError(f"stats_basis must be one of {STATS_BASES}, "
+                             f"got {self.stats_basis!r}")
+        folds = [mb.fold_index for mb in self.members]
+        if folds != list(range(len(folds))):
+            raise ValueError(f"member fold indices must run 0..{len(folds) - 1} in order, "
+                             f"got {folds}")
 
     @property
     def n_members(self) -> int:
@@ -184,8 +193,8 @@ def analyze_model(net: Network, fold_train: Dataset, fold_val: Dataset,
                    stats_basis: str) -> tuple[MemberModel, np.ndarray]:
     """Path model, split stats, grid-searched filter; returns the model plus
     the good/bad mask of the fold's training points under the chosen filter."""
-    pm = build_path_model(net, fold_train, policy)
     tr_probs, tr_acts = forward_batch(net, fold_train.points, record=True)
+    pm = build_path_model(tr_acts, policy)
     tr_ids, tr_nd = compute_paths(pm, tr_acts)
     tr_pred = tr_probs.argmax(axis=1)
     va_probs, va_acts = forward_batch(net, fold_val.points, record=True)
@@ -281,56 +290,6 @@ def member_eval(mm: MemberModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return good, probs.argmax(axis=1), probs
 
 
-def _vote_point(good_col, pred_col, prob_rows, agreement: str):
-    """Selective vote for one point given per-member verdicts.
-
-    Returns ``(label, good_count, agree_count)`` or None when fewer than
-    half the members call the point good or (under unanimity) the good
-    members disagree. 'Half' rounds up.
-    """
-    m = len(good_col)
-    good_count = int(good_col.sum())
-    if good_count < (m + 1) // 2:
-        return None
-    votes = pred_col[good_col]
-    if agreement == "unanimity":
-        first = int(votes[0])
-        if not (votes == first).all():
-            return None
-        return first, good_count, good_count
-    counts = np.bincount(votes)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if len(tied) == 1:
-        label = int(tied[0])
-    else:
-        # break plurality ties by the good members' summed probabilities
-        # over the tied labels; argmax takes the lowest index on a residual tie
-        summed = prob_rows[good_col].sum(axis=0)
-        label = int(tied[np.argmax(summed[tied])])
-    agree = int(np.sum(votes == label))
-    return label, good_count, agree
-
-
-def good_vote(models: list[MemberModel], x, agreement: str = "plurality"):
-    """Vote of one model set on one input; None when the vote abstains."""
-    if not models:
-        raise ValueError("empty model set")
-    X = np.asarray(x, dtype=np.float64)[None, :]
-    good = np.empty(len(models), dtype=bool)
-    pred = np.empty(len(models), dtype=np.int64)
-    probs = []
-    for j, mm in enumerate(models):
-        g, p, pr = member_eval(mm, X)
-        good[j], pred[j] = g[0], p[0]
-        probs.append(pr[0])
-    out = _vote_point(good, pred, np.asarray(probs), agreement)
-    if out is None:
-        return None
-    label, good_count, _ = out
-    return label, good_count
-
-
 @dataclass
 class _SetEval:
     """Stacked member evaluations of one model set over a batch."""
@@ -350,18 +309,27 @@ class _SetEval:
 
 
 def _vote_batch(ev: _SetEval, agreement: str):
-    """Per-point vote results: (voted mask, labels, good counts, agree counts)."""
-    m, n = ev.good.shape
-    voted = np.zeros(n, dtype=bool)
-    labels = np.full(n, -1, dtype=np.int64)
-    goods = np.zeros(n, dtype=np.int64)
-    agrees = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        out = _vote_point(ev.good[:, i], ev.pred[:, i], ev.probs[:, i, :], agreement)
-        if out is not None:
-            voted[i] = True
-            labels[i], goods[i], agrees[i] = out
-    return voted, labels, goods, agrees
+    """Selective vote of one model set over a batch.
+
+    A point is voted when at least half the members (rounded up) call it
+    good and, under unanimity, every good member predicts the same label.
+    The label is the most common prediction among good members; plurality
+    ties go to the tied label with the largest summed probability over the
+    good members, then to the lowest label. Returns ``(voted mask, labels,
+    good counts, agree counts)``, with -1, 0, 0 where the vote abstains.
+    """
+    m = len(ev.good)
+    good = ev.good[:, :, None]
+    votes = (good & (ev.pred[:, :, None] == np.arange(ev.probs.shape[2]))).sum(axis=0)
+    goods = ev.good.sum(axis=0)
+    top = votes.max(axis=1)
+    summed = np.where(good, ev.probs, 0.0).sum(axis=0)
+    labels = np.where(votes == top[:, None], summed, -np.inf).argmax(axis=1)
+    voted = goods >= (m + 1) // 2
+    if agreement == "unanimity":
+        voted &= top == goods
+    return (voted, np.where(voted, labels, -1), np.where(voted, goods, 0),
+            np.where(voted, top, 0))
 
 
 def classify_batch(bundle: EnsembleBundle, X) -> list[TierVerdict]:
@@ -377,26 +345,9 @@ def classify_batch(bundle: EnsembleBundle, X) -> list[TierVerdict]:
     voted1, labels1, _, _ = _vote_batch(ev1, bundle.agreement)
     voted2, labels2, _, _ = _vote_batch(ev2, bundle.agreement)
     fallback = ev2.probs.sum(axis=0).argmax(axis=1)
-    verdicts = []
-    for i in range(len(X)):
-        if voted1[i]:
-            verdicts.append(TierVerdict(TIER_ORIGINAL_GOOD, int(labels1[i])))
-        elif voted2[i]:
-            verdicts.append(TierVerdict(TIER_BAD_1, int(labels2[i])))
-        else:
-            verdicts.append(TierVerdict(TIER_BAD_2, int(fallback[i])))
-    return verdicts
-
-
-def classify(bundle: EnsembleBundle, x) -> TierVerdict:
-    return classify_batch(bundle, np.asarray(x, dtype=np.float64)[None, :])[0]
-
-
-def collect_bad_training_points(bundle: EnsembleBundle, data: Dataset) -> np.ndarray:
-    """Indices bad in a strict majority of the original models."""
-    ev1 = _SetEval.run([mb.model1 for mb in bundle.members], data.points)
-    bad_counts = (~ev1.good).sum(axis=0)
-    return np.flatnonzero(bad_counts * 2 > bundle.n_members)
+    tier = np.where(voted1, 0, np.where(voted2, 1, 2))
+    labels = np.where(voted1, labels1, np.where(voted2, labels2, fallback))
+    return [TierVerdict(TIERS[t], lab) for t, lab in zip(tier.tolist(), labels.tolist())]
 
 
 def large_model_route(tiers: list[TierVerdict], original: ExternalPredictions,
@@ -410,12 +361,8 @@ def large_model_route(tiers: list[TierVerdict], original: ExternalPredictions,
         raise ValueError("prediction files must align with the tier list")
     if original.scores.shape[1] != bad.scores.shape[1]:
         raise ValueError("prediction files disagree on class count")
-    labels = np.empty(len(tiers), dtype=np.int64)
-    orig_arg = original.scores.argmax(axis=1)
-    bad_arg = bad.scores.argmax(axis=1)
-    for i, tv in enumerate(tiers):
-        labels[i] = bad_arg[i] if tv.tier == TIER_BAD_2 else orig_arg[i]
-    return labels
+    to_bad = np.array([tv.tier == TIER_BAD_2 for tv in tiers], dtype=bool)
+    return np.where(to_bad, bad.scores.argmax(axis=1), original.scores.argmax(axis=1))
 
 
 @dataclass
@@ -519,6 +466,7 @@ def _member_model_to_doc(mm: MemberModel) -> dict:
 
 
 def _member_model_from_doc(doc: dict) -> MemberModel:
+    pm = path_model_from_doc(doc["path_model"])
     raw_d = doc["params"]["max_norm_distance"]
     params = FilterParams(
         float("inf") if raw_d == "inf" else float(raw_d),
@@ -533,8 +481,8 @@ def _member_model_from_doc(doc: dict) -> MemberModel:
     )
     return MemberModel(
         network_from_doc(doc["network"]),
-        path_model_from_doc(doc["path_model"]),
-        stats_from_doc(doc["stats"]),
+        pm,
+        stats_from_doc(doc["stats"], pm.ks),
         params,
         search,
     )
@@ -573,6 +521,14 @@ def save_bundle(bundle: EnsembleBundle, dirpath) -> None:
 
 
 def load_bundle(dirpath) -> EnsembleBundle:
+    """Inverse of ``save_bundle``.
+
+    Raises ValueError, naming the fault, for an unknown format version or
+    depth, member fold indices other than 0..count-1 in manifest order, an
+    unknown agreement or stats basis, and split stats that do not fit the
+    member's path model (keys outside its clusters, negative counts,
+    accuracies outside [0, 1]).
+    """
     d = FsPath(dirpath)
     manifest = json.loads((d / "bundle.json").read_text())
     if manifest.get("format_version") != BUNDLE_FORMAT_VERSION:

@@ -15,8 +15,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .network import Adam, Network, sigmoid, softmax
-from .paths import FilterParams, Path, Split, SplitStats
+from .network import Adam, Network, _hidden_deriv_from_act, forward_batch
+from .paths import FilterParams, Path, Split, SplitTable
 
 
 @dataclass
@@ -72,39 +72,20 @@ def _layer_loss_and_input_grad(net: Network, x_row: np.ndarray, layer_index: int
                                target: np.ndarray):
     """Squared distance of layer ``layer_index``'s activation to ``target``
     and its gradient with respect to the input row alone."""
-    cfg = net.config
-    n_hidden = cfg.n_hidden
-    hidden = sigmoid if cfg.activation == "sigmoid" else (lambda z: np.maximum(z, 0.0))
-
-    hs = []
-    a = x_row
-    upto = n_hidden if layer_index == n_hidden + 1 else layer_index
-    for l in range(upto):
-        a = hidden(a @ net.weights[l] + net.biases[l])
-        hs.append(a)
-
-    def deriv(h):
-        if cfg.activation == "sigmoid":
-            return h * (1.0 - h)
-        return (h > 0).astype(np.float64)
-
-    if layer_index == n_hidden + 1:
-        p = softmax(a @ net.weights[-1] + net.biases[-1])
-        diff = p - target
-        loss = float((diff * diff).sum())
-        g = 2.0 * diff
+    activation = net.config.activation
+    _, acts = forward_batch(net, x_row, record=True)
+    diff = acts[layer_index] - target
+    loss = float((diff * diff).sum())
+    g = 2.0 * diff
+    if layer_index == len(acts) - 1:
+        p = acts[-1]
         dz = p * (g - (g * p).sum(axis=1, keepdims=True))
-        da = dz @ net.weights[-1].T
-        down_from = n_hidden - 1
     else:
-        diff = hs[-1] - target
-        loss = float((diff * diff).sum())
-        dz = (2.0 * diff) * deriv(hs[-1])
-        da = dz @ net.weights[layer_index - 1].T
-        down_from = layer_index - 2
-    for l in range(down_from, -1, -1):
-        dz = da * deriv(hs[l])
-        da = dz @ net.weights[l].T
+        dz = g * _hidden_deriv_from_act(activation, acts[layer_index])
+    da = dz @ net.weights[layer_index - 1].T
+    for l in range(layer_index - 1, 0, -1):
+        dz = da * _hidden_deriv_from_act(activation, acts[l])
+        da = dz @ net.weights[l - 1].T
     return loss, da
 
 
@@ -149,13 +130,16 @@ def activation_maximization(net: Network, layer_index: int, target_center, steps
     return img, losses
 
 
-def good_splits(stats: dict[Split, SplitStats], params: FilterParams) -> list[Split]:
-    """Splits passing the filter's count and accuracy thresholds, key-sorted."""
-    keep = [
-        sp for sp, st in stats.items()
-        if st.count >= params.min_split_count and st.accuracy >= params.min_split_accuracy
+def good_splits(stats: SplitTable, params: FilterParams) -> list[Split]:
+    """Traversed splits passing the filter's count and accuracy thresholds,
+    sorted by (layer, src, dst). A split nobody traversed never qualifies,
+    even when both thresholds are 0."""
+    return [
+        Split(l, int(s), int(d))
+        for l, (c, a) in enumerate(zip(stats.count, stats.accuracy))
+        for s, d in np.argwhere((c > 0) & (c >= params.min_split_count)
+                                & (a >= params.min_split_accuracy))
     ]
-    return sorted(keep, key=lambda sp: (sp.layer, sp.src, sp.dst))
 
 
 def emit_image(img: FeatureImage, path) -> None:

@@ -8,7 +8,7 @@ returns a new network and never mutates its input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,23 +122,6 @@ class Network:
             [b.copy() for b in self.biases],
         )
 
-    def n_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-
-@dataclass
-class ActivationTrace:
-    """Input, each hidden layer's post-activation output, and the softmax output."""
-
-    layers: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.layers[-1]
-
 
 @dataclass
 class Dataset:
@@ -210,53 +193,29 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     return (rng.random(shape) < keep).astype(np.float64) / keep
 
 
-def forward_batch(net: Network, X, record: bool = False, train_mode: bool = False, rng=None):
-    """Run a batch through the network.
+def forward_batch(net: Network, X, record: bool = False):
+    """Run a batch through the network, without dropout.
 
     Returns ``(probs, layer_acts)`` where ``probs`` is (n, classes) and
     ``layer_acts`` (only when ``record``) is the list of per-layer activation
-    matrices: raw input, each hidden layer's post-activation output (before
-    any dropout), and the softmax output. Dropout is applied only when
-    ``train_mode`` is set and the config carries rates; masks come from
-    ``rng``.
+    matrices: raw input, each hidden layer's post-activation output, and the
+    softmax output. Training-time dropout lives in ``loss_and_gradient``.
     """
     cfg = net.config
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.input_dim:
         raise ValueError(f"expected input of shape (n, {cfg.input_dim}), got {X.shape}")
-    rates = cfg.dropout_rates if (train_mode and cfg.dropout_rates) else None
-    if rates and any(r > 0 for r in rates):
-        if rng is None:
-            raise ValueError("train-mode dropout requires an rng")
-        rng = np.random.default_rng(rng) if isinstance(rng, int) else rng
     act = _hidden_fn(cfg.activation)
-
     recorded = [X] if record else None
     a = X
-    if rates and rates[0] > 0:
-        a = a * dropout_mask(rng, a.shape, rates[0])
     for l in range(cfg.n_hidden):
-        h = act(a @ net.weights[l] + net.biases[l])
+        a = act(a @ net.weights[l] + net.biases[l])
         if record:
-            recorded.append(h)
-        a = h
-        rate = rates[l + 1] if rates else 0.0
-        if rate > 0:
-            a = a * dropout_mask(rng, a.shape, rate)
+            recorded.append(a)
     probs = softmax(a @ net.weights[-1] + net.biases[-1])
     if record:
         recorded.append(probs)
     return probs, recorded
-
-
-def forward(net: Network, x, record: bool = False, train_mode: bool = False, rng=None):
-    """Single-point forward pass -> (class probabilities, optional ActivationTrace)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != net.config.input_dim:
-        raise ValueError(f"expected input of shape ({net.config.input_dim},), got {x.shape}")
-    probs, acts = forward_batch(net, x[None, :], record=record, train_mode=train_mode, rng=rng)
-    trace = ActivationTrace([layer[0].copy() for layer in acts]) if record else None
-    return probs[0], trace
 
 
 def predict(net: Network, X) -> np.ndarray:

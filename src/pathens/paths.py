@@ -3,10 +3,11 @@
 A path records, for one input, which cluster it lands in at every layer
 (input space, each hidden space, output space) and how far from that
 cluster's center it sits in normalized units. A split is the transition
-between consecutive layers' clusters; its statistics over the training set
-(how many points took it, how often the network was right on them) drive
-the three-threshold filter that separates confident "good" points from
-"bad" ones.
+between consecutive layers' clusters. Its statistics over the training set
+(how many points took it, how often the network was right on them) live in
+a SplitTable, one dense (k_l, k_{l+1}) count matrix and accuracy matrix per
+layer boundary, and drive the three-threshold filter that separates
+confident "good" points from "bad" ones.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .clustering import (
     elbow_select,
     kmeans,
 )
-from .network import ActivationTrace, Dataset, Network, forward_batch
 
 PATH_MODEL_FORMAT_VERSION = 1
 
@@ -50,18 +50,47 @@ class Split:
         return Split(int(l), int(s), int(d))
 
 
-@dataclass(frozen=True)
-class SplitStats:
-    """How many training points traversed a split and how accurate the net was on them."""
+@dataclass(eq=False)
+class SplitTable:
+    """Split statistics of one path model, dense per layer boundary.
 
-    count: int
-    accuracy: float
+    ``count[l][s, d]`` is how many basis points went from cluster ``s`` at
+    layer ``l`` to cluster ``d`` at layer ``l + 1``; ``accuracy[l][s, d]``
+    is the share of them the network predicted correctly, and 0 where the
+    count is 0. A split nobody traversed is simply a zero entry.
+    """
+
+    count: list[np.ndarray]
+    accuracy: list[np.ndarray]
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be >= 0")
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
+        self.count = [np.asarray(c, dtype=np.int64) for c in self.count]
+        self.accuracy = [np.asarray(a, dtype=np.float64) for a in self.accuracy]
+        if not self.count or len(self.count) != len(self.accuracy):
+            raise ValueError("need one count and one accuracy matrix per layer boundary")
+        for l, (c, a) in enumerate(zip(self.count, self.accuracy)):
+            if c.ndim != 2 or a.shape != c.shape:
+                raise ValueError(f"layer {l}: count and accuracy must be matching 2-D arrays")
+            bad = (c < 0) | ~((a >= 0.0) & (a <= 1.0)) | ((c == 0) & (a != 0.0))
+            if bad.any():
+                s, d = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"split {Split(l, int(s), int(d)).key}: count {c[s, d]} and accuracy "
+                    f"{a[s, d]} (need count >= 0, accuracy in [0, 1], 0 when the count is 0)")
+
+    @classmethod
+    def zeros(cls, ks) -> "SplitTable":
+        """An all-empty table for consecutive layer sizes ``ks``."""
+        shapes = list(zip(ks[:-1], ks[1:]))
+        return cls([np.zeros(sh, dtype=np.int64) for sh in shapes],
+                   [np.zeros(sh) for sh in shapes])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SplitTable):
+            return NotImplemented
+        return len(self.count) == len(other.count) and all(
+            np.array_equal(x, y) for x, y in zip(self.count + self.accuracy,
+                                                 other.count + other.accuracy))
 
 
 @dataclass(frozen=True)
@@ -118,10 +147,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.cluster_ids)
 
-    def splits(self):
-        ids = self.cluster_ids
-        return [Split(l, int(ids[l]), int(ids[l + 1])) for l in range(len(ids) - 1)]
-
 
 @dataclass
 class PathModel:
@@ -137,6 +162,10 @@ class PathModel:
     @property
     def n_layers(self) -> int:
         return len(self.cluster_sets)
+
+    @property
+    def ks(self) -> list[int]:
+        return [cs.k for cs in self.cluster_sets]
 
 
 @dataclass(frozen=True)
@@ -159,24 +188,19 @@ class KPolicy:
         return (*base, layer)
 
 
-def layer_activations(net: Network, X) -> list[np.ndarray]:
-    """Per-layer activation matrices (input, each hidden, softmax) for a batch."""
-    _, acts = forward_batch(net, X, record=True)
-    return acts
-
-
-def build_path_model(net: Network, train_set: Dataset, policy: KPolicy) -> PathModel:
+def build_path_model(layer_acts: list[np.ndarray], policy: KPolicy) -> PathModel:
     """Cluster every layer's activations of the training set.
 
-    Each layer gets its own elbow sweep (or a fixed k from the policy's
-    overrides) and k-means fit. The elbow curves ride along for inspection
-    and for manual override in a follow-up run.
+    ``layer_acts`` is ``forward_batch(net, X, record=True)[1]``: input,
+    each hidden layer, softmax output. Each layer gets its own elbow sweep
+    (or a fixed k from the policy's overrides) and k-means fit. The elbow
+    curves ride along for inspection and for manual override in a
+    follow-up run.
     """
-    if len(train_set) == 0:
+    if len(layer_acts[0]) == 0:
         raise ValueError("training set is empty")
-    acts = layer_activations(net, train_set.points)
     cluster_sets, curves = [], []
-    for layer, A in enumerate(acts):
+    for layer, A in enumerate(layer_acts):
         seed = policy.layer_seed(layer)
         if layer in policy.overrides:
             k = int(policy.overrides[layer])
@@ -210,27 +234,12 @@ def compute_paths(pm: PathModel, layer_acts: list[np.ndarray]) -> tuple[np.ndarr
     return np.stack(ids_cols, axis=1), np.stack(nd_cols, axis=1)
 
 
-def compute_path(pm: PathModel, trace: ActivationTrace) -> Path:
-    """Path of a single point from its activation trace."""
-    if len(trace) != pm.n_layers:
-        raise ValueError(f"trace has {len(trace)} layers, path model expects {pm.n_layers}")
-    ids, nd = compute_paths(pm, [a[None, :] for a in trace.layers])
-    return Path(ids[0], nd[0])
-
-
-def paths_for_dataset(net: Network, pm: PathModel, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ids, norm_d, predictions) for a batch of raw inputs."""
-    probs, acts = forward_batch(net, X, record=True)
-    ids, nd = compute_paths(pm, acts)
-    return ids, nd, probs.argmax(axis=1)
-
-
-def split_stats(pm: PathModel, ids: np.ndarray, labels, predictions) -> dict[Split, SplitStats]:
-    """Count and accuracy per observed split.
+def split_stats(pm: PathModel, ids: np.ndarray, labels, predictions) -> SplitTable:
+    """Count and accuracy of every split of ``pm``.
 
     ``ids`` is the (n, n_layers) cluster-id matrix of the statistics basis
-    (training points, normally). Splits nobody traversed are simply absent;
-    the filter treats them as count 0.
+    (training points, normally). Splits nobody traversed keep count 0 and
+    accuracy 0.
     """
     ids = np.asarray(ids, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -239,41 +248,28 @@ def split_stats(pm: PathModel, ids: np.ndarray, labels, predictions) -> dict[Spl
         raise ValueError("ids must be (n, n_layers)")
     if labels.shape != (len(ids),) or predictions.shape != (len(ids),):
         raise ValueError("labels and predictions must align with ids")
-    correct = (labels == predictions).astype(np.int64)
-    counts: dict[Split, int] = {}
-    hits: dict[Split, int] = {}
+    ks = pm.ks
+    if ids.size and ((ids < 0) | (ids >= ks)).any():
+        raise ValueError(f"cluster ids must lie within the path model's k per layer {ks}")
+    correct = (labels == predictions).astype(np.float64)
+    count, accuracy = [], []
     for l in range(pm.n_layers - 1):
-        src, dst = ids[:, l], ids[:, l + 1]
-        # group identical (src, dst) pairs in one pass per layer
-        pair = src * (dst.max() + 1) + dst
-        order = np.argsort(pair, kind="stable")
-        sorted_pair = pair[order]
-        boundaries = np.flatnonzero(np.diff(sorted_pair)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(pair)]])
-        csum = np.concatenate([[0], np.cumsum(correct[order])])
-        for s, e in zip(starts, ends):
-            i = order[s]
-            sp = Split(l, int(src[i]), int(dst[i]))
-            counts[sp] = int(e - s)
-            hits[sp] = int(csum[e] - csum[s])
-    return {
-        sp: SplitStats(counts[sp], hits[sp] / counts[sp] if counts[sp] else 0.0)
-        for sp in counts
-    }
+        pair = ids[:, l] * ks[l + 1] + ids[:, l + 1]
+        size = ks[l] * ks[l + 1]
+        c = np.bincount(pair, minlength=size).reshape(ks[l], ks[l + 1])
+        hits = np.bincount(pair, weights=correct, minlength=size).reshape(c.shape)
+        count.append(c)
+        accuracy.append(np.divide(hits, c, out=np.zeros(c.shape), where=c > 0))
+    return SplitTable(count, accuracy)
 
 
-def path_from_arrays(ids_row, nd_row) -> Path:
-    return Path(np.asarray(ids_row), np.asarray(nd_row))
-
-
-def classify_point(stats: dict[Split, SplitStats], params: FilterParams, path: Path) -> Verdict:
+def classify_point(stats: SplitTable, params: FilterParams, path: Path) -> Verdict:
     """Apply the three-threshold filter to one path.
 
-    Checks run in layer order; at each layer the distance rule comes
-    first, then the outgoing split's count, then its accuracy, so
-    ``first_failure`` is deterministic. A split absent from ``stats``
-    counts as 0 points with accuracy 0.
+    The scalar oracle for ``filter_features``/``good_mask``. Checks run in
+    layer order; at each layer the distance rule comes first, then the
+    outgoing split's count, then its accuracy, so ``first_failure`` is
+    deterministic. An untraversed split has count 0 and accuracy 0.
     """
     nd = path.normalized_distances
     ids = path.cluster_ids
@@ -282,21 +278,20 @@ def classify_point(stats: dict[Split, SplitStats], params: FilterParams, path: P
         if nd[l] > params.max_norm_distance:
             return Verdict(False, f"distance-at-layer-{l}")
         if l < n_layers - 1:
-            st = stats.get(Split(l, int(ids[l]), int(ids[l + 1])))
-            count = st.count if st else 0
-            acc = st.accuracy if st else 0.0
-            if count < params.min_split_count:
+            src, dst = ids[l], ids[l + 1]
+            if stats.count[l][src, dst] < params.min_split_count:
                 return Verdict(False, f"small-split-at-{l}")
-            if acc < params.min_split_accuracy:
+            if stats.accuracy[l][src, dst] < params.min_split_accuracy:
                 return Verdict(False, f"low-accuracy-split-at-{l}")
     return Verdict(True)
 
 
-def filter_features(stats: dict[Split, SplitStats], ids: np.ndarray,
+def filter_features(stats: SplitTable, ids: np.ndarray,
                     nd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-point reductions the filter thresholds act on.
 
-    Returns ``(max_nd, min_count, min_acc)``, each (n,): the worst
+    ``ids`` and ``nd`` are (n, n_layers) paths under the table's path
+    model. Returns ``(max_nd, min_count, min_acc)``, each (n,): the worst
     normalized distance across layers, and the smallest split count and
     accuracy along each point's traversed splits. A point is then good
     under params iff ``max_nd <= d and min_count >= c and min_acc >= a``,
@@ -305,24 +300,12 @@ def filter_features(stats: dict[Split, SplitStats], ids: np.ndarray,
     """
     ids = np.asarray(ids, dtype=np.int64)
     nd = np.asarray(nd, dtype=np.float64)
-    n, n_layers = ids.shape
-    max_nd = nd.max(axis=1)
-    min_count = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    min_acc = np.ones(n, dtype=np.float64)
-    for l in range(n_layers - 1):
-        pairs = {}
-        for sp, st in stats.items():
-            if sp.layer == l:
-                pairs[(sp.src, sp.dst)] = st
-        counts_l = np.empty(n, dtype=np.int64)
-        accs_l = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            st = pairs.get((int(ids[i, l]), int(ids[i, l + 1])))
-            counts_l[i] = st.count if st else 0
-            accs_l[i] = st.accuracy if st else 0.0
-        np.minimum(min_count, counts_l, out=min_count)
-        np.minimum(min_acc, accs_l, out=min_acc)
-    return max_nd, min_count, min_acc
+    if ids.ndim != 2 or ids.shape[1] != len(stats.count) + 1:
+        raise ValueError(f"ids must be (n, {len(stats.count) + 1})")
+    src, dst = ids[:, :-1].T, ids[:, 1:].T
+    counts = np.stack([c[s, d] for c, s, d in zip(stats.count, src, dst)])
+    accs = np.stack([a[s, d] for a, s, d in zip(stats.accuracy, src, dst)])
+    return nd.max(axis=1), counts.min(axis=0), accs.min(axis=0)
 
 
 def good_mask(features, params: FilterParams) -> np.ndarray:
@@ -362,7 +345,7 @@ class GridSearchResult:
     met_target: bool
 
 
-def grid_search(stats: dict[Split, SplitStats], val_ids, val_nd, val_labels,
+def grid_search(stats: SplitTable, val_ids, val_nd, val_labels,
                 val_predictions, grid: ParamGrid, target_accuracy: float) -> GridSearchResult:
     """Pick the filter triple that keeps the most points at the target accuracy.
 
@@ -400,15 +383,26 @@ def grid_search(stats: dict[Split, SplitStats], val_ids, val_nd, val_labels,
     return best_meeting[1] if best_meeting else best_fallback[1]
 
 
-def stats_to_doc(stats: dict[Split, SplitStats]) -> dict:
-    return {sp.key: {"count": st.count, "accuracy": st.accuracy} for sp, st in stats.items()}
-
-
-def stats_from_doc(doc: dict) -> dict[Split, SplitStats]:
+def stats_to_doc(stats: SplitTable) -> dict:
+    """Traversed splits only, as ``{"layer:src:dst": {"count", "accuracy"}}``."""
     return {
-        Split.from_key(key): SplitStats(int(item["count"]), float(item["accuracy"]))
-        for key, item in doc.items()
+        Split(l, int(s), int(d)).key: {"count": int(c[s, d]), "accuracy": float(a[s, d])}
+        for l, (c, a) in enumerate(zip(stats.count, stats.accuracy))
+        for s, d in np.argwhere(c > 0)
     }
+
+
+def stats_from_doc(doc: dict, ks) -> SplitTable:
+    """Inverse of ``stats_to_doc`` for a path model with per-layer sizes ``ks``."""
+    table = SplitTable.zeros(ks)
+    for key, item in doc.items():
+        sp = Split.from_key(key)
+        if not (0 <= sp.layer < len(ks) - 1 and 0 <= sp.src < ks[sp.layer]
+                and 0 <= sp.dst < ks[sp.layer + 1]):
+            raise ValueError(f"stats key {key!r} lies outside the path model (k per layer {ks})")
+        table.count[sp.layer][sp.src, sp.dst] = int(item["count"])
+        table.accuracy[sp.layer][sp.src, sp.dst] = float(item["accuracy"])
+    return SplitTable(table.count, table.accuracy)
 
 
 def path_model_to_doc(pm: PathModel) -> dict:

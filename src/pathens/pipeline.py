@@ -31,7 +31,7 @@ from .features import activation_maximization, emit_image, good_splits, split_me
 from .network import Dataset, accuracy, forward_batch
 from .paths import compute_paths
 from .report import canonical_json, render_report
-from .runconfig import DataSource, RunConfig
+from .runconfig import RunConfig
 
 STAGE_EXIT_CODES = {
     "config": 2,
@@ -112,10 +112,29 @@ def emit_split_features(mm, fold_train: Dataset, settings, mean_init, feat_dir):
     return entries, files
 
 
-def _load_source(src: DataSource) -> Dataset:
-    if src.kind == "csv":
-        return load_csv(src.csv)
-    return load_idx(src.images, src.labels)
+def load_dataset(cfg: RunConfig, which: str) -> Dataset:
+    """The config's "train" or "test" data, cut to its limit and checked
+    against the network's input width and class count."""
+    src, limit = ((cfg.train_source, cfg.limit_train) if which == "train"
+                  else (cfg.test_source, cfg.limit_test))
+    ds = load_csv(src.csv) if src.kind == "csv" else load_idx(src.images, src.labels)
+    if limit > 0:
+        ds = ds.subset(np.arange(min(limit, len(ds))))
+    if ds.dim != cfg.net_cfg.input_dim:
+        raise ValueError(
+            f"{which} data dim {ds.dim} does not match network input {cfg.net_cfg.input_dim}")
+    if len(ds) and ds.labels.max() >= cfg.net_cfg.n_classes:
+        raise ValueError(
+            f"{which} data has label {ds.labels.max()} but the network "
+            f"has {cfg.net_cfg.n_classes} classes")
+    return ds
+
+
+def write_predictions(path, tiers, labels, truth) -> None:
+    """Per-point CSV with header ``index,tier,label,truth``."""
+    rows = [f"{i},{tv.tier},{int(lab)},{int(t)}"
+            for i, (tv, lab, t) in enumerate(zip(tiers, labels, truth))]
+    FsPath(path).write_text("\n".join(["index,tier,label,truth", *rows]) + "\n")
 
 
 def _prepare_out_dir(cfg: RunConfig) -> FsPath:
@@ -150,21 +169,8 @@ def run_pipeline(cfg: RunConfig, progress=None) -> RunManifest:
 
     # load
     def do_load():
-        train_data = _load_source(cfg.train_source)
-        test_data = _load_source(cfg.test_source)
-        if cfg.limit_train > 0:
-            train_data = train_data.subset(np.arange(min(cfg.limit_train, len(train_data))))
-        if cfg.limit_test > 0:
-            test_data = test_data.subset(np.arange(min(cfg.limit_test, len(test_data))))
-        for name, ds in (("train", train_data), ("test", test_data)):
-            if ds.dim != cfg.net_cfg.input_dim:
-                raise ValueError(
-                    f"{name} data dim {ds.dim} does not match network input "
-                    f"{cfg.net_cfg.input_dim}")
-            if len(ds) and ds.labels.max() >= cfg.net_cfg.n_classes:
-                raise ValueError(
-                    f"{name} data has label {ds.labels.max()} but the network "
-                    f"has {cfg.net_cfg.n_classes} classes")
+        train_data = load_dataset(cfg, "train")
+        test_data = load_dataset(cfg, "test")
         report["dataset"] = {
             "n_train": len(train_data),
             "n_test": len(test_data),
@@ -216,11 +222,7 @@ def run_pipeline(cfg: RunConfig, progress=None) -> RunManifest:
         report["ensemble_test_accuracy"] = tr.overall_accuracy
         report["best_member_test_accuracy"] = max(m["test_accuracy"] for m in members_doc)
         pred_path = out / "test_predictions.csv"
-        lines = ["index,tier,label,truth"] + [
-            f"{i},{tv.tier},{tv.label},{int(t)}"
-            for i, (tv, t) in enumerate(zip(tiers, test_data.labels))
-        ]
-        pred_path.write_text("\n".join(lines) + "\n")
+        write_predictions(pred_path, tiers, labels, test_data.labels)
         artifacts["test"] = [str(pred_path)]
         return tiers
 
@@ -234,14 +236,9 @@ def run_pipeline(cfg: RunConfig, progress=None) -> RunManifest:
         doc["n_voted"] = bi.n_voted
         report["bound_check"] = doc
 
-        folds = bundle.folds()
-        val_errors = []
-        n_val_min = None
-        for mb, (tr_idx, va_idx) in zip(bundle.members, folds):
-            fold_val = train_data.subset(va_idx)
-            val_errors.append(1.0 - accuracy(mb.model1.net, fold_val))
-            n_val_min = len(va_idx) if n_val_min is None else min(n_val_min, len(va_idx))
-        inp = TheoremInputs(bundle.n_members, n_val_min, max(val_errors), cfg.z)
+        n_val_min = min(len(va_idx) for _, va_idx in bundle.folds())
+        eps_prime = max(1.0 - m["val_accuracy"] for m in report["members"])
+        inp = TheoremInputs(bundle.n_members, n_val_min, eps_prime, cfg.z)
         br = epsilon_interval(inp)
         report["theorem"] = {
             "k": inp.k, "n": inp.n, "eps_prime": inp.eps_prime, "z": inp.z,
@@ -271,11 +268,7 @@ def run_pipeline(cfg: RunConfig, progress=None) -> RunManifest:
             routed = large_model_route(tiers, orig, bad)
             tr = tier_report(tiers, routed, test_data.labels)
             routed_path = out / "routed_predictions.csv"
-            lines = ["index,tier,label,truth"] + [
-                f"{i},{tv.tier},{int(lab)},{int(t)}"
-                for i, (tv, lab, t) in enumerate(zip(tiers, routed, test_data.labels))
-            ]
-            routed_path.write_text("\n".join(lines) + "\n")
+            write_predictions(routed_path, tiers, routed, test_data.labels)
             artifacts["route"] = [str(routed_path)]
             report["routing"] = {
                 "tier_report": tr.to_doc(),

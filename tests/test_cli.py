@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from test_pipeline import write_blob_config
 
 from pathens.cli import main
-from pathens.dataio import load_csv
+from pathens.dataio import load_csv, save_csv
 from pathens.ensemble import load_bundle
 from pathens.network import accuracy, load_network
 
@@ -51,7 +51,6 @@ def test_ingest_converts_idx_to_csv(tmp_path, capsys):
 
 def test_ingest_applies_the_limit(tmp_path, capsys):
     full = blob_dataset(4, [[0.2, 0.2], [0.8, 0.8]], 0.05, seed=0)
-    from pathens.dataio import save_csv
     save_csv(full, tmp_path / "full.csv")
     rc = main(["ingest", "--csv", str(tmp_path / "full.csv"), "--limit", "3",
                "--out", str(tmp_path / "cut.csv")])
@@ -106,6 +105,20 @@ def test_ensemble_train_then_test(ws, trained, capsys):
     lines = preds.read_text().splitlines()
     assert lines[0] == "index,tier,label,truth"
     assert len(lines) == 45 + 1
+
+
+def test_ensemble_test_rejects_labels_beyond_the_network(ws, trained, tmp_path, capsys):
+    tmp, cfg = ws
+    _, bundle_dir = trained
+    bad = load_csv(tmp / "test.csv")
+    bad.labels[4] = 5  # the network has 3 classes
+    save_csv(bad, tmp_path / "bad_test.csv")
+    rc = main(["ensemble-test", "--config", cfg, "--bundle", str(bundle_dir),
+               "--set", f"data.test_csv={tmp_path / 'bad_test.csv'}"])
+    assert rc != 0
+    captured = capsys.readouterr()
+    assert "test data has label 5 but the network has 3 classes" in captured.err
+    assert "Test accuracy by tier" not in captured.out
 
 
 def test_features_command_emits_images(ws, trained, capsys):

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from pathens.clustering import (
     ClusterSet,
     ElbowCurve,
-    assign,
     cluster_set_from_doc,
     cluster_set_to_doc,
     count_distinct,
@@ -167,9 +166,9 @@ def test_assign_batch_matches_linear_scan():
 def test_assignment_ties_go_to_the_lowest_id():
     centers = np.array([[0.0, 0.0], [1.0, 0.0]])
     cs = ClusterSet(centers, 0.0, 1.0)
-    cid, dist, _ = assign(cs, np.array([0.5, 0.0]))
-    assert cid == 0
-    assert_allclose(dist, 0.5)
+    ids, dist = cs.assign_batch(np.array([[0.5, 0.0]]))
+    assert ids[0] == 0
+    assert_allclose(dist[0], 0.5)
 
 
 def test_assign_batch_rejects_wrong_dim():

@@ -16,9 +16,9 @@ from fractions import Fraction
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pathens.clustering import ClusterSet
-from pathens.ensemble import _vote_point
+from pathens.ensemble import AGREEMENT_MODES, _SetEval, _vote_batch
 from pathens.network import Dataset, NetworkConfig, TrainConfig, init_network
-from pathens.paths import FilterParams, GridSearchResult, KPolicy, ParamGrid, PathModel
+from pathens.paths import FilterParams, GridSearchResult, KPolicy, ParamGrid, PathModel, SplitTable
 from pathens import (
     MODEL2_SEED_OFFSET,
     TIERS,
@@ -29,10 +29,7 @@ from pathens import (
     PartitionScheme,
     TierReport,
     TierVerdict,
-    classify,
     classify_batch,
-    collect_bad_training_points,
-    good_vote,
     large_model_route,
     load_bundle,
     make_partitions,
@@ -64,7 +61,8 @@ def scripted_model(probs, good_center=None, good_radius=math.inf):
         ClusterSet(probs[None, :], 0.0, 1.0),
     ])
     params = FilterParams(good_radius, 0, 0.0)
-    return MemberModel(net, pm, {}, params, GridSearchResult(params, 0, 0.0, True))
+    return MemberModel(net, pm, SplitTable.zeros([1, 1, 1]), params,
+                       GridSearchResult(params, 0, 0.0, True))
 
 
 def scripted_member(fold, probs1, probs2, center1=None, radius1=math.inf,
@@ -153,13 +151,75 @@ def test_partition_scheme_validation():
 # ------------------------------------------------------------------- voting
 
 
+def vote_by_hand(good, pred, probs, agreement):
+    """Selective vote for one point from its (m,) verdicts and predictions
+    and (m, c) probabilities: ``(label, good_count, agree_count)``, or None
+    when fewer than half the members (rounded up) call it good or, under
+    unanimity, the good members disagree."""
+    m = len(good)
+    good_count = int(good.sum())
+    if good_count < (m + 1) // 2:
+        return None
+    votes = pred[good]
+    if agreement == "unanimity":
+        first = int(votes[0])
+        if not (votes == first).all():
+            return None
+        return first, good_count, good_count
+    counts = np.bincount(votes)
+    tied = np.flatnonzero(counts == counts.max())
+    if len(tied) == 1:
+        label = int(tied[0])
+    else:
+        # the good members' summed probabilities over the tied labels;
+        # argmax takes the lowest label on a residual tie
+        summed = probs[good].sum(axis=0)
+        label = int(tied[np.argmax(summed[tied])])
+    return label, good_count, int(np.sum(votes == label))
+
+
+def vote_one(good, pred, probs, agreement):
+    """``_vote_batch`` on a single point, in ``vote_by_hand``'s return shape."""
+    ev = _SetEval(np.asarray(good)[:, None], np.asarray(pred)[:, None],
+                  np.asarray(probs)[:, None, :])
+    voted, labels, goods, agrees = _vote_batch(ev, agreement)
+    return (int(labels[0]), int(goods[0]), int(agrees[0])) if voted[0] else None
+
+
+@pytest.mark.parametrize("agreement", AGREEMENT_MODES)
+def test_vote_batch_matches_vote_by_hand(agreement):
+    rng = np.random.default_rng(1234)
+    # a handful of probability rows, so summed probabilities tie often
+    rows = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5],
+                     [1 / 3, 1 / 3, 1 / 3]])
+    vote_ties = residual_ties = 0
+    for m in range(1, 7):
+        n = 1000
+        good = rng.random((m, n)) < 0.75
+        pred = rng.integers(0, N_CLASSES, size=(m, n))
+        probs = rows[rng.integers(0, len(rows), size=(m, n))]
+        voted, labels, goods, agrees = _vote_batch(_SetEval(good, pred, probs), agreement)
+        for i in range(n):
+            want = vote_by_hand(good[:, i], pred[:, i], probs[:, i], agreement)
+            got = (int(labels[i]), int(goods[i]), int(agrees[i])) if voted[i] else None
+            assert got == want, (m, i)
+            counts = np.bincount(pred[good[:, i], i], minlength=N_CLASSES)
+            tied = np.flatnonzero(counts == counts.max())
+            if want is not None and counts.max() > 0 and len(tied) > 1:
+                vote_ties += 1
+                summed = probs[good[:, i], i].sum(axis=0)[tied]
+                residual_ties += int((summed == summed.max()).sum() > 1)
+    if agreement == "plurality":
+        assert vote_ties > 100 and residual_ties > 20
+
+
 def test_vote_needs_at_least_half_the_members():
     probs = np.tile(p(0), (5, 1))
     pred = np.zeros(5, dtype=np.int64)
     for n_good in range(6):
         good = np.zeros(5, dtype=bool)
         good[:n_good] = True
-        out = _vote_point(good, pred, probs, "plurality")
+        out = vote_one(good, pred, probs, "plurality")
         if n_good >= 3:  # ceil(5/2)
             assert out == (0, n_good, n_good)
         else:
@@ -169,7 +229,7 @@ def test_vote_needs_at_least_half_the_members():
 def test_vote_with_even_member_count_allows_an_exact_half():
     probs = np.tile(p(1), (4, 1))
     good = np.array([True, True, False, False])
-    out = _vote_point(good, np.full(4, 1, dtype=np.int64), probs, "plurality")
+    out = vote_one(good, np.full(4, 1, dtype=np.int64), probs, "plurality")
     assert out == (1, 2, 2)
 
 
@@ -177,7 +237,7 @@ def test_plurality_picks_the_most_common_good_label():
     good = np.array([True, True, True, False, True])
     pred = np.array([2, 2, 0, 1, 2], dtype=np.int64)
     probs = np.stack([p(2), p(2), p(0), p(1), p(2)])
-    label, good_count, agree = _vote_point(good, pred, probs, "plurality")
+    label, good_count, agree = vote_one(good, pred, probs, "plurality")
     assert (label, good_count, agree) == (2, 4, 3)
 
 
@@ -192,7 +252,7 @@ def test_plurality_tie_breaks_by_summed_probabilities_of_tied_labels_only():
         [0.10, 0.40, 0.50],
         [0.10, 0.40, 0.50],
     ])
-    label, _, agree = _vote_point(good, pred, rows, "plurality")
+    label, _, agree = vote_one(good, pred, rows, "plurality")
     assert label == 1
     assert agree == 2
 
@@ -201,7 +261,7 @@ def test_plurality_residual_tie_takes_the_lowest_label():
     good = np.ones(2, dtype=bool)
     pred = np.array([0, 2], dtype=np.int64)
     rows = np.array([[0.4, 0.2, 0.4], [0.4, 0.2, 0.4]])
-    label, _, _ = _vote_point(good, pred, rows, "plurality")
+    label, _, _ = vote_one(good, pred, rows, "plurality")
     assert label == 0
 
 
@@ -209,22 +269,23 @@ def test_unanimity_withdraws_on_any_disagreement():
     good = np.array([True, True, True, False])
     agreeing = np.array([1, 1, 1, 0], dtype=np.int64)
     probs = np.tile(p(1), (4, 1))
-    assert _vote_point(good, agreeing, probs, "unanimity") == (1, 3, 3)
+    assert vote_one(good, agreeing, probs, "unanimity") == (1, 3, 3)
     dissent = np.array([1, 1, 2, 0], dtype=np.int64)
-    assert _vote_point(good, dissent, probs, "unanimity") is None
+    assert vote_one(good, dissent, probs, "unanimity") is None
 
 
-def test_good_vote_over_scripted_members():
+def test_set_vote_over_scripted_members():
     models = [
         scripted_model(p(0), good_radius=1.0),
         scripted_model(p(0), good_radius=1.0),
         scripted_model(p(1), good_radius=5.0),
     ]
-    assert good_vote(models, np.zeros(2)) == (0, 3)
     # at distance 3 only the wide-radius member remains: 1 < ceil(3/2)
-    assert good_vote(models, np.array([3.0, 0.0])) is None
-    with pytest.raises(ValueError):
-        good_vote([], np.zeros(2))
+    X = np.array([[0.0, 0.0], [3.0, 0.0]])
+    voted, labels, goods, agrees = _vote_batch(_SetEval.run(models, X), "plurality")
+    assert voted.tolist() == [True, False]
+    assert (labels[0], goods[0], agrees[0]) == (0, 3, 2)
+    assert (labels[1], goods[1], agrees[1]) == (-1, 0, 0)
 
 
 # ------------------------------------------------------------------ tiering
@@ -263,32 +324,14 @@ def test_classify_batch_assigns_the_three_tiers():
 
 def test_classify_single_point_matches_batch():
     bundle = tiered_fixture()
-    x = np.array([10.0, 10.0])
-    single = classify(bundle, x)
-    batch = classify_batch(bundle, x[None, :])[0]
-    assert single == batch
+    X = np.array([[0.0, 0.0], [10.0, 10.0], [5.0, 5.0]])
+    batch = classify_batch(bundle, X)
+    assert [classify_batch(bundle, x)[0] for x in X] == batch
 
 
 def test_tier_verdict_rejects_unknown_tier():
     with pytest.raises(ValueError):
         TierVerdict("great", 0)
-
-
-def test_collect_bad_training_points_needs_a_strict_majority():
-    members = [
-        scripted_member(0, p(0), p(0), center1=(0, 0), radius1=1.5),
-        scripted_member(1, p(0), p(0), center1=(2, 0), radius1=1.5),
-        scripted_member(2, p(0), p(0), center1=(4, 0), radius1=1.5),
-    ]
-    bundle = scripted_bundle(members, n_train=4)
-    pts = np.array([
-        [1.0, 0.0],   # bad only for member 2 -> stays
-        [0.0, 0.0],   # bad for members 1 and 2 -> collected (2*2 > 3)
-        [9.0, 0.0],   # bad for all -> collected
-        [3.0, 0.0],   # good for members 1, 2; bad for 0 -> stays
-    ])
-    ds = Dataset(pts, np.zeros(4, dtype=int))
-    assert_array_equal(collect_bad_training_points(bundle, ds), [1, 2])
 
 
 # ------------------------------------------------------------------- routing
@@ -389,7 +432,7 @@ def test_bound_inputs_when_nothing_is_voted():
     members = []
     for fold in range(2):
         mm = scripted_model(p(0))
-        starved = MemberModel(mm.net, mm.path_model, {}, never,
+        starved = MemberModel(mm.net, mm.path_model, mm.stats, never,
                               GridSearchResult(never, 0, 0.0, False))
         members.append(Member(fold, starved, starved, np.array([], dtype=np.int64)))
     bundle = scripted_bundle(members, n_train=4)
@@ -530,5 +573,60 @@ def test_bundle_validation():
         EnsembleBundle(members, PartitionScheme("block", 3), 12)
     with pytest.raises(ValueError, match="agreement"):
         EnsembleBundle(members, PartitionScheme("block", 2), 12, agreement="quorum")
+    with pytest.raises(ValueError, match="stats_basis"):
+        EnsembleBundle(members, PartitionScheme("block", 2), 12, stats_basis="test")
+    with pytest.raises(ValueError, match="fold indices"):
+        EnsembleBundle(members[::-1], PartitionScheme("block", 2), 12)
     with pytest.raises(ValueError):
         EnsembleBundle([], PartitionScheme("block", 2), 12)
+
+
+def saved_bundle(tmp_path):
+    """A two-member scripted bundle on disk (every path model has k = 1)."""
+    members = [scripted_member(f, p(0), p(1)) for f in range(2)]
+    save_bundle(scripted_bundle(members), tmp_path)
+    return tmp_path
+
+
+def edit_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_load_bundle_rejects_stats_outside_the_path_model(tmp_path):
+    for i, key in enumerate(("2:0:0", "-1:0:0", "0:1:0", "0:0:-1", "1:-1:0")):
+        d = saved_bundle(tmp_path / str(i))
+        edit_json(d / "member_1.json", lambda doc: doc["model2"].update(
+            stats={key: {"count": 4, "accuracy": 1.0}}))
+        with pytest.raises(ValueError, match=f"stats key '{key}' lies outside"):
+            load_bundle(d)
+
+
+def test_load_bundle_rejects_impossible_split_stats(tmp_path):
+    for i, item in enumerate(({"count": -2, "accuracy": 0.5},
+                              {"count": 3, "accuracy": 1.25},
+                              {"count": 3, "accuracy": -0.5})):
+        d = saved_bundle(tmp_path / str(i))
+        edit_json(d / "member_0.json", lambda doc: doc["model1"].update(
+            stats={"1:0:0": item}))
+        with pytest.raises(ValueError, match="split 1:0:0"):
+            load_bundle(d)
+
+
+def test_load_bundle_rejects_an_unknown_stats_basis(tmp_path):
+    d = saved_bundle(tmp_path)
+    edit_json(d / "bundle.json", lambda doc: doc.update(stats_basis="everything"))
+    with pytest.raises(ValueError, match="stats_basis"):
+        load_bundle(d)
+
+
+def test_load_bundle_rejects_folds_out_of_manifest_order(tmp_path):
+    d = saved_bundle(tmp_path / "swapped")
+    edit_json(d / "bundle.json", lambda doc: doc["members"].reverse())
+    with pytest.raises(ValueError, match=r"fold indices must run 0..1 in order, got \[1, 0\]"):
+        load_bundle(d)
+    d = saved_bundle(tmp_path / "duplicate")
+    edit_json(d / "member_1.json", lambda doc: doc.update(fold_index=0))
+    with pytest.raises(ValueError, match=r"got \[0, 0\]"):
+        load_bundle(d)

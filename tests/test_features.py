@@ -8,6 +8,7 @@ guarantee that the returned iterate is the best one visited.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from test_paths import table
 
 from pathens.features import (
     FeatureImage,
@@ -19,15 +20,15 @@ from pathens.features import (
     read_image,
     split_mean_feature,
 )
-from pathens.network import Dataset, Network, NetworkConfig, forward, init_network
-from pathens.paths import FilterParams, Path, Split, SplitStats
+from pathens.network import Dataset, Network, NetworkConfig, forward_batch, init_network
+from pathens.paths import FilterParams, Path, Split, SplitTable
 
 
 def layer_loss(net, x, layer_index, target):
-    """Squared distance of a recorded activation to the target; computed
-    through the public forward pass, independent of the synthesis code."""
-    _, trace = forward(net, np.asarray(x, float).ravel(), record=True)
-    diff = trace.layers[layer_index] - target
+    """Squared distance of a recorded activation to the target, through the
+    public forward pass; the gradient is checked against its differences."""
+    _, acts = forward_batch(net, np.asarray(x, float).reshape(1, -1), record=True)
+    diff = acts[layer_index][0] - target
     return float((diff * diff).sum())
 
 
@@ -121,8 +122,8 @@ def test_input_gradient_matches_finite_differences():
 def test_synthesis_with_an_already_optimal_init_returns_it():
     net = init_network(NetworkConfig((4, 5, 3), "sigmoid"), 3)
     x0 = np.full(4, 0.5)
-    _, trace = forward(net, x0, record=True)
-    target = trace.layers[1]
+    _, acts = forward_batch(net, x0[None, :], record=True)
+    target = acts[1][0]
     img, losses = activation_maximization(net, 1, target, steps=25, step_size=0.1, init=x0)
     assert losses[0] == 0.0
     assert min(losses) == 0.0
@@ -191,15 +192,21 @@ def test_synthesis_validates_arguments():
 
 
 def test_good_splits_filters_on_count_and_accuracy_only():
-    stats = {
-        Split(1, 2, 0): SplitStats(30, 0.95),
-        Split(0, 1, 1): SplitStats(30, 0.99),
-        Split(0, 0, 1): SplitStats(5, 1.0),    # too small
-        Split(1, 0, 0): SplitStats(50, 0.50),  # too sloppy
-    }
+    stats = table([3, 3, 3], {
+        (1, 2, 0): (30, 0.95),
+        (0, 1, 1): (30, 0.99),
+        (0, 0, 1): (5, 1.0),    # too small
+        (1, 0, 0): (50, 0.50),  # too sloppy
+    })
     params = FilterParams(1e-9, 10, 0.9)  # the distance threshold plays no role
     assert good_splits(stats, params) == [Split(0, 1, 1), Split(1, 2, 0)]
-    assert good_splits({}, params) == []
+    assert good_splits(SplitTable.zeros([3, 3, 3]), params) == []
+
+
+def test_vacuous_thresholds_keep_only_traversed_splits():
+    stats = table([2, 2, 2], {(0, 1, 0): (4, 0.0), (1, 0, 1): (1, 1.0)})
+    # 0 >= 0 holds for every untraversed split; count > 0 must still exclude them
+    assert good_splits(stats, FilterParams(1.0, 0, 0.0)) == [Split(0, 1, 0), Split(1, 0, 1)]
 
 
 # ------------------------------------------------------------------- images

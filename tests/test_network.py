@@ -18,7 +18,6 @@ from pathens.network import (
     TrainConfig,
     accuracy,
     dropout_mask,
-    forward,
     forward_batch,
     init_network,
     load_network,
@@ -114,8 +113,8 @@ def test_forward_matches_scalar_oracle_across_shapes_and_activations():
             net = small_net(sizes, activation, int(rng.integers(1 << 30)))
             for _ in range(20):
                 x = rng.normal(size=sizes[0])
-                got, _ = forward(net, x)
-                assert_allclose(got, forward_by_hand(net, x), rtol=1e-12, atol=1e-15)
+                got, _ = forward_batch(net, x[None, :])
+                assert_allclose(got[0], forward_by_hand(net, x), rtol=1e-12, atol=1e-15)
 
 
 def test_forward_batch_agrees_with_single_point_forward():
@@ -124,37 +123,29 @@ def test_forward_batch_agrees_with_single_point_forward():
     X = rng.normal(size=(9, 4))
     probs, _ = forward_batch(net, X)
     for i in range(len(X)):
-        single, _ = forward(net, X[i])
-        assert_allclose(probs[i], single, rtol=1e-15)
+        single, _ = forward_batch(net, X[i:i + 1])
+        assert_allclose(probs[i], single[0], rtol=1e-15)
 
 
 def test_recorded_trace_holds_input_hiddens_and_output():
     rng = np.random.default_rng(11)
     net = small_net((4, 6, 5, 3), "relu", 5)
-    x = rng.normal(size=4)
-    probs, trace = forward(net, x, record=True)
-    assert len(trace) == net.config.n_hidden + 2
-    assert_array_equal(trace.layers[0], x)
-    assert_allclose(trace.output, probs, rtol=1e-15)
+    X = rng.normal(size=(3, 4))
+    probs, acts = forward_batch(net, X, record=True)
+    assert [a.shape for a in acts] == [(3, 4), (3, 6), (3, 5), (3, 3)]
+    assert_array_equal(acts[0], X)
+    assert_allclose(acts[-1], probs, rtol=1e-15)
     # hidden activations are recorded after the nonlinearity
-    assert (trace.layers[1] >= 0).all()
+    assert (acts[1] >= 0).all()
+    assert forward_batch(net, X)[1] is None
 
 
 def test_forward_rejects_wrong_input_width():
     net = small_net((4, 5, 3), "sigmoid", 0)
     with pytest.raises(ValueError):
-        forward(net, np.zeros(3))
+        forward_batch(net, np.zeros(4))
     with pytest.raises(ValueError):
         forward_batch(net, np.zeros((2, 5)))
-
-
-def test_train_mode_dropout_requires_rng_only_when_rates_are_active():
-    net = small_net((4, 5, 3), "sigmoid", 0, dropout=(0.5, 0.5))
-    with pytest.raises(ValueError, match="rng"):
-        forward_batch(net, np.zeros((2, 4)), train_mode=True)
-    quiet = small_net((4, 5, 3), "sigmoid", 0, dropout=(0.0, 0.0))
-    probs, _ = forward_batch(quiet, np.zeros((2, 4)), train_mode=True)
-    assert probs.shape == (2, 3)
 
 
 def test_eval_mode_ignores_dropout_config():
@@ -164,8 +155,8 @@ def test_eval_mode_ignores_dropout_config():
     a, _ = forward_batch(net, X)
     b, _ = forward_batch(net, X)
     assert_array_equal(a, b)
-    noisy, _ = forward_batch(net, X, train_mode=True, rng=np.random.default_rng(0))
-    assert not np.array_equal(a, noisy)
+    clean = Network(NetworkConfig(net.config.layer_sizes, "sigmoid"), net.weights, net.biases)
+    assert_array_equal(a, forward_batch(clean, X)[0])
 
 
 # ----------------------------------------------------------------- init
@@ -188,7 +179,8 @@ def test_init_is_deterministic_and_xavier_bounded():
 def test_parameter_count_for_the_reference_architecture():
     # 784*100+100 + 3*(100*100+100) + 100*10+10 = 78500 + 30300 + 1010
     cfg = NetworkConfig((784, 100, 100, 100, 100, 10), "sigmoid")
-    assert init_network(cfg, 0).n_parameters() == 109810
+    net = init_network(cfg, 0)
+    assert sum(p.size for p in net.weights + net.biases) == 109810
 
 
 def test_config_validation():

@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from pathens.clustering import ClusterSet
-from pathens.network import Dataset, NetworkConfig,forward, init_network, predict
+from pathens.network import Dataset, NetworkConfig, forward_batch, init_network
 from pathens.paths import (
     FilterParams,
     GridSearchResult,
@@ -22,20 +22,17 @@ from pathens.paths import (
     Path,
     PathModel,
     Split,
-    SplitStats,
+    SplitTable,
     Verdict,
     build_path_model,
     classify_point,
-    compute_path,
     compute_paths,
     filter_features,
     good_mask,
     grid_search,
-    layer_activations,
     load_path_model,
     path_model_from_doc,
     path_model_to_doc,
-    paths_for_dataset,
     save_path_model,
     split_stats,
     stats_from_doc,
@@ -49,44 +46,55 @@ def verdict_by_hand(stats, params, ids, nd):
     if any(d > params.max_norm_distance for d in nd):
         return False
     for l in range(len(ids) - 1):
-        st = stats.get(Split(l, int(ids[l]), int(ids[l + 1])))
-        count = st.count if st else 0
-        acc = st.accuracy if st else 0.0
+        count = stats.count[l][ids[l], ids[l + 1]]
+        acc = stats.accuracy[l][ids[l], ids[l + 1]]
         if count < params.min_split_count or acc < params.min_split_accuracy:
             return False
     return True
 
 
-def stats_by_hand(ids, labels, preds):
+def table(ks, entries):
+    """SplitTable for layer sizes ``ks`` from {(layer, src, dst): (count, accuracy)}."""
+    t = SplitTable.zeros(ks)
+    for (l, s, d), (count, acc) in entries.items():
+        t.count[l][s, d] = count
+        t.accuracy[l][s, d] = acc
+    return SplitTable(t.count, t.accuracy)
+
+
+def stats_by_hand(ids, labels, preds, k):
     """Per-split count and accuracy by plain iteration."""
     tallies = {}
     for l in range(ids.shape[1] - 1):
         for i in range(len(ids)):
-            sp = Split(l, int(ids[i, l]), int(ids[i, l + 1]))
+            sp = (l, int(ids[i, l]), int(ids[i, l + 1]))
             cnt, hit = tallies.get(sp, (0, 0))
             tallies[sp] = (cnt + 1, hit + int(labels[i] == preds[i]))
-    return {sp: SplitStats(c, h / c) for sp, (c, h) in tallies.items()}
+    return table([k] * ids.shape[1], {sp: (c, h / c) for sp, (c, h) in tallies.items()})
 
 
 def random_filter_case(rng, n_layers=4, k=4):
     ids = rng.integers(0, k, size=n_layers)
     nd = rng.uniform(0.0, 3.0, size=n_layers)
-    stats = {}
+    entries = {}
     for l in range(n_layers - 1):
         for src in range(k):
             for dst in range(k):
                 if rng.random() < 0.6:
-                    stats[Split(l, src, dst)] = SplitStats(
-                        int(rng.integers(0, 50)), float(rng.random())
-                    )
+                    count, acc = int(rng.integers(0, 50)), float(rng.random())
+                    entries[(l, src, dst)] = (count, acc if count else 0.0)
     d = np.inf if rng.random() < 0.1 else float(rng.uniform(0.5, 2.5))
     params = FilterParams(d, int(rng.integers(0, 30)), float(rng.random()))
-    return stats, params, ids, nd
+    return table([k] * n_layers, entries), params, ids, nd
 
 
-def dummy_model(n_layers):
-    """PathModel stand-in when only the layer count matters."""
-    return PathModel([ClusterSet(np.zeros((1, 2)), 0.0, 0.0)] * n_layers)
+def dummy_model(n_layers, k=1):
+    """PathModel stand-in when only the layer count and k matter."""
+    return PathModel([ClusterSet(np.zeros((k, 2)), 0.0, 0.0)] * n_layers)
+
+
+def layer_acts(net, X):
+    return forward_batch(net, X, record=True)[1]
 
 
 # ------------------------------------------------------------ value objects
@@ -99,11 +107,14 @@ def test_split_key_round_trip():
 
 
 def test_split_stats_validation():
-    SplitStats(0, 0.0)
+    table([2, 2], {(0, 1, 0): (3, 1.0)})
+    for bad in ((-1, 0.0), (3, 1.5), (3, -0.1), (3, np.nan), (0, 0.5)):
+        with pytest.raises(ValueError, match="split 0:1:0"):
+            table([2, 2], {(0, 1, 0): bad})
+    with pytest.raises(ValueError, match="layer 1"):
+        SplitTable([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros((2, 3)), np.zeros((3, 3))])
     with pytest.raises(ValueError):
-        SplitStats(-1, 0.5)
-    with pytest.raises(ValueError):
-        SplitStats(3, 1.5)
+        SplitTable([], [])
 
 
 def test_filter_params_accept_infinite_distance_but_not_nan():
@@ -128,11 +139,12 @@ def test_verdict_consistency_rule():
         Verdict(False)
 
 
-def test_path_splits_enumeration():
-    p = Path(np.array([3, 1, 4, 1]), np.zeros(4))
-    assert p.splits() == [Split(0, 3, 1), Split(1, 1, 4), Split(2, 4, 1)]
+def test_path_needs_aligned_1d_arrays():
+    assert len(Path(np.array([3, 1, 4, 1]), np.zeros(4))) == 4
     with pytest.raises(ValueError):
         Path(np.array([1, 2]), np.zeros(3))
+    with pytest.raises(ValueError):
+        Path(np.zeros((2, 2), dtype=int), np.zeros((2, 2)))
 
 
 def test_path_model_needs_three_layers():
@@ -155,12 +167,9 @@ def test_split_stats_match_plain_iteration():
         ids = rng.integers(0, 5, size=(n, n_layers))
         labels = rng.integers(0, 3, size=n)
         preds = rng.integers(0, 3, size=n)
-        got = split_stats(dummy_model(n_layers), ids, labels, preds)
-        want = stats_by_hand(ids, labels, preds)
-        assert got.keys() == want.keys()
-        for sp in want:
-            assert got[sp].count == want[sp].count
-            assert_allclose(got[sp].accuracy, want[sp].accuracy, rtol=1e-12)
+        got = split_stats(dummy_model(n_layers, 5), ids, labels, preds)
+        want = stats_by_hand(ids, labels, preds, 5)
+        assert got == want
 
 
 def test_split_counts_conserve_points_per_layer():
@@ -168,10 +177,9 @@ def test_split_counts_conserve_points_per_layer():
     n, n_layers = 200, 5
     ids = rng.integers(0, 6, size=(n, n_layers))
     labels = rng.integers(0, 4, size=n)
-    stats = split_stats(dummy_model(n_layers), ids, labels, labels)
+    stats = split_stats(dummy_model(n_layers, 6), ids, labels, labels)
     for l in range(n_layers - 1):
-        total = sum(st.count for sp, st in stats.items() if sp.layer == l)
-        assert total == n
+        assert stats.count[l].sum() == n
 
 
 def test_split_stats_input_validation():
@@ -181,6 +189,10 @@ def test_split_stats_input_validation():
         split_stats(pm, np.zeros((4, 2), dtype=int), np.zeros(4), np.zeros(4))
     with pytest.raises(ValueError):
         split_stats(pm, ids, np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="k per layer"):
+        split_stats(pm, ids + 1, np.zeros(4), np.zeros(4))
+    with pytest.raises(ValueError, match="k per layer"):
+        split_stats(pm, ids - 1, np.zeros(4), np.zeros(4))
 
 
 # -------------------------------------------------------------------- filter
@@ -208,10 +220,7 @@ def test_vectorized_filter_agrees_with_classify_point():
 
 
 def test_first_failure_reports_the_earliest_broken_rule():
-    stats = {
-        Split(0, 0, 0): SplitStats(100, 1.0),
-        Split(1, 0, 0): SplitStats(100, 1.0),
-    }
+    stats = table([1, 1, 1], {(0, 0, 0): (100, 1.0), (1, 0, 0): (100, 1.0)})
     params = FilterParams(1.0, 10, 0.9)
     ids = np.zeros(3, dtype=int)
 
@@ -219,14 +228,14 @@ def test_first_failure_reports_the_earliest_broken_rule():
     assert v.first_failure == "distance-at-layer-0"
 
     # distance at a later layer loses to a broken split at an earlier one
-    bad_first_split = {Split(0, 0, 0): SplitStats(2, 1.0), Split(1, 0, 0): SplitStats(100, 1.0)}
+    bad_first_split = table([1, 1, 1], {(0, 0, 0): (2, 1.0), (1, 0, 0): (100, 1.0)})
     v = classify_point(bad_first_split, params, Path(ids, np.array([0.0, 5.0, 0.0])))
     assert v.first_failure == "small-split-at-0"
 
     # within a layer: distance, then count, then accuracy
     v = classify_point(bad_first_split, params, Path(ids, np.array([5.0, 0.0, 0.0])))
     assert v.first_failure == "distance-at-layer-0"
-    low_acc = {Split(0, 0, 0): SplitStats(100, 0.2), Split(1, 0, 0): SplitStats(100, 1.0)}
+    low_acc = table([1, 1, 1], {(0, 0, 0): (100, 0.2), (1, 0, 0): (100, 1.0)})
     v = classify_point(low_acc, params, Path(ids, np.zeros(3)))
     assert v.first_failure == "low-accuracy-split-at-0"
 
@@ -235,11 +244,12 @@ def test_first_failure_reports_the_earliest_broken_rule():
 
 
 def test_missing_split_counts_as_empty():
+    empty = SplitTable.zeros([2, 2, 2])
     params_count = FilterParams(np.inf, 1, 0.0)
-    v = classify_point({}, params_count, Path(np.array([0, 1, 0]), np.zeros(3)))
+    v = classify_point(empty, params_count, Path(np.array([0, 1, 0]), np.zeros(3)))
     assert v.first_failure == "small-split-at-0"
     params_acc = FilterParams(np.inf, 0, 0.5)
-    v = classify_point({}, params_acc, Path(np.array([0, 1, 0]), np.zeros(3)))
+    v = classify_point(empty, params_acc, Path(np.array([0, 1, 0]), np.zeros(3)))
     assert v.first_failure == "low-accuracy-split-at-0"
 
 
@@ -249,7 +259,7 @@ def test_vacuous_params_pass_everything():
     for _ in range(20):
         ids = rng.integers(0, 3, size=4)
         nd = rng.uniform(0, 100, size=4)
-        assert classify_point({}, params, Path(ids, nd)).good
+        assert classify_point(SplitTable.zeros([3] * 4), params, Path(ids, nd)).good
 
 
 def tighten(rng, params):
@@ -329,7 +339,7 @@ def test_grid_search_matches_exhaustive_oracle():
 def test_grid_search_ties_prefer_the_tighter_filter():
     # every triple keeps the single (correctly predicted) point, so the
     # winner must be the smallest distance with the largest count and accuracy
-    stats = {Split(0, 0, 0): SplitStats(50, 1.0), Split(1, 0, 0): SplitStats(50, 1.0)}
+    stats = table([1, 1, 1], {(0, 0, 0): (50, 1.0), (1, 0, 0): (50, 1.0)})
     ids = np.zeros((1, 3), dtype=int)
     nd = np.zeros((1, 3))
     grid = ParamGrid((1.0, 2.0), (5, 10), (0.5, 1.0))
@@ -341,7 +351,7 @@ def test_grid_search_ties_prefer_the_tighter_filter():
 
 
 def test_grid_search_falls_back_to_highest_accuracy():
-    stats = {Split(0, 0, 0): SplitStats(50, 1.0), Split(1, 0, 0): SplitStats(50, 1.0)}
+    stats = table([1, 1, 1], {(0, 0, 0): (50, 1.0), (1, 0, 0): (50, 1.0)})
     n = 10
     ids = np.zeros((n, 3), dtype=int)
     nd = np.zeros((n, 3))
@@ -355,11 +365,12 @@ def test_grid_search_falls_back_to_highest_accuracy():
 
 def test_grid_search_input_validation():
     grid = ParamGrid((1.0,), (0,), (0.0,))
+    empty = SplitTable.zeros([1, 1, 1])
     with pytest.raises(ValueError):
-        grid_search({}, np.zeros((0, 3), dtype=int), np.zeros((0, 3)),
+        grid_search(empty, np.zeros((0, 3), dtype=int), np.zeros((0, 3)),
                      np.zeros(0), np.zeros(0), grid, 0.5)
     with pytest.raises(ValueError):
-        grid_search({}, np.zeros((1, 3), dtype=int), np.zeros((1, 3)),
+        grid_search(empty, np.zeros((1, 3), dtype=int), np.zeros((1, 3)),
                      np.zeros(1), np.zeros(1), grid, 1.5)
     with pytest.raises(ValueError):
         ParamGrid((), (0,), (0.0,))
@@ -380,7 +391,7 @@ def test_build_path_model_shapes_and_overrides():
     ds = blob_dataset()
     net = init_network(NetworkConfig((3, 6, 5, 3), "sigmoid"), 2)
     policy = KPolicy(seed=1, overrides={0: 3, 3: 2}, candidates=(1, 2, 3, 4), restarts=2)
-    pm = build_path_model(net, ds, policy)
+    pm = build_path_model(layer_acts(net, ds.points), policy)
     assert pm.n_layers == 4  # input, two hiddens, output
     assert pm.cluster_sets[0].k == 3
     assert pm.cluster_sets[3].k == 2
@@ -395,8 +406,8 @@ def test_build_path_model_is_deterministic():
     ds = blob_dataset(3)
     net = init_network(NetworkConfig((3, 5, 3), "relu"), 4)
     policy = KPolicy(seed=6, candidates=(1, 2, 3), restarts=2)
-    a = build_path_model(net, ds, policy)
-    b = build_path_model(net, ds, policy)
+    a = build_path_model(layer_acts(net, ds.points), policy)
+    b = build_path_model(layer_acts(net, ds.points), policy)
     for ca, cb in zip(a.cluster_sets, b.cluster_sets):
         assert_array_equal(ca.centers, cb.centers)
 
@@ -404,34 +415,25 @@ def test_build_path_model_is_deterministic():
 def test_compute_paths_and_single_point_agree():
     ds = blob_dataset(5)
     net = init_network(NetworkConfig((3, 6, 3), "sigmoid"), 7)
-    pm = build_path_model(net, ds, KPolicy(seed=2, overrides={0: 3, 1: 3, 2: 2}))
-    acts = layer_activations(net, ds.points)
-    ids, nd = compute_paths(pm, acts)
+    pm = build_path_model(layer_acts(net, ds.points), KPolicy(seed=2, overrides={0: 3, 1: 3, 2: 2}))
+    ids, nd = compute_paths(pm, layer_acts(net, ds.points))
     assert ids.shape == (len(ds), 3) and nd.shape == (len(ds), 3)
     for i in (0, 17, 80):
-        _, trace = forward(net, ds.points[i], record=True)
-        path = compute_path(pm, trace)
-        assert_array_equal(path.cluster_ids, ids[i])
-        assert_allclose(path.normalized_distances, nd[i], rtol=1e-12)
-
-
-def test_paths_for_dataset_returns_network_predictions():
-    ds = blob_dataset(8)
-    net = init_network(NetworkConfig((3, 5, 3), "sigmoid"), 1)
-    pm = build_path_model(net, ds, KPolicy(seed=3, overrides={0: 2, 1: 2, 2: 2}))
-    ids, nd, preds = paths_for_dataset(net, pm, ds.points)
-    assert_array_equal(preds, predict(net, ds.points))
-    assert ids.shape == nd.shape == (len(ds), 3)
+        one_ids, one_nd = compute_paths(pm, layer_acts(net, ds.points[i:i + 1]))
+        assert_array_equal(one_ids[0], ids[i])
+        assert_allclose(one_nd[0], nd[i], rtol=1e-12)
 
 
 def test_single_cluster_everywhere_still_classifies():
     ds = blob_dataset(9)
     net = init_network(NetworkConfig((3, 4, 3), "sigmoid"), 0)
-    pm = build_path_model(net, ds, KPolicy(seed=0, overrides={0: 1, 1: 1, 2: 1}))
-    ids, nd, preds = paths_for_dataset(net, pm, ds.points)
+    pm = build_path_model(layer_acts(net, ds.points), KPolicy(seed=0, overrides={0: 1, 1: 1, 2: 1}))
+    probs, acts = forward_batch(net, ds.points, record=True)
+    ids, nd = compute_paths(pm, acts)
     assert (ids == 0).all()
-    stats = split_stats(pm, ids, ds.labels, preds)
-    assert len(stats) == 2  # one split per layer boundary
+    stats = split_stats(pm, ids, ds.labels, probs.argmax(axis=1))
+    # one split per layer boundary, taken by every point
+    assert [c.tolist() for c in stats.count] == [[[len(ds)]], [[len(ds)]]]
     verdict = classify_point(stats, FilterParams(np.inf, 0, 0.0),
                              Path(ids[0], nd[0]))
     assert verdict.good
@@ -441,35 +443,36 @@ def test_compute_paths_layer_count_mismatch():
     pm = dummy_model(3)
     with pytest.raises(ValueError):
         compute_paths(pm, [np.zeros((2, 2))] * 4)
-    net = init_network(NetworkConfig((2, 3, 3, 2), "sigmoid"), 0)
-    _, trace = forward(net, np.zeros(2), record=True)
-    with pytest.raises(ValueError):
-        compute_path(pm, trace)
 
 
 def test_build_path_model_rejects_empty_training_set():
     net = init_network(NetworkConfig((3, 4, 2), "sigmoid"), 0)
-    empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        build_path_model(net, empty, KPolicy())
+        build_path_model(layer_acts(net, np.zeros((0, 3))), KPolicy())
 
 
 # --------------------------------------------------------------- persistence
 
 
 def test_stats_doc_round_trip():
-    stats = {
-        Split(0, 1, 2): SplitStats(17, 0.75),
-        Split(2, 0, 0): SplitStats(3, 1.0),
-    }
-    back = stats_from_doc(stats_to_doc(stats))
-    assert back == stats
+    stats = table([2, 3, 1, 1], {(0, 1, 2): (17, 0.75), (2, 0, 0): (3, 1.0)})
+    doc = stats_to_doc(stats)
+    assert doc == {"0:1:2": {"count": 17, "accuracy": 0.75},
+                   "2:0:0": {"count": 3, "accuracy": 1.0}}
+    assert stats_from_doc(doc, [2, 3, 1, 1]) == stats
+
+
+def test_stats_doc_keys_must_lie_inside_the_path_model():
+    item = {"count": 1, "accuracy": 1.0}
+    for key in ("2:0:0", "-1:0:0", "0:2:0", "0:-1:0", "1:0:1", "1:0:-1"):
+        with pytest.raises(ValueError, match=key):
+            stats_from_doc({key: item}, [2, 3, 1])
 
 
 def test_path_model_round_trip(tmp_path):
     ds = blob_dataset(11)
     net = init_network(NetworkConfig((3, 5, 3), "sigmoid"), 5)
-    pm = build_path_model(net, ds, KPolicy(seed=4, candidates=(1, 2, 3, 4), restarts=2))
+    pm = build_path_model(layer_acts(net, ds.points), KPolicy(seed=4, candidates=(1, 2, 3, 4), restarts=2))
     fp = tmp_path / "pm.json"
     save_path_model(pm, fp)
     back = load_path_model(fp)
@@ -488,7 +491,7 @@ def test_path_model_round_trip(tmp_path):
 def test_path_model_doc_preserves_override_markers():
     ds = blob_dataset(12)
     net = init_network(NetworkConfig((3, 4, 3), "sigmoid"), 6)
-    pm = build_path_model(net, ds, KPolicy(seed=1, overrides={1: 2}, candidates=(1, 2, 3)))
+    pm = build_path_model(layer_acts(net, ds.points), KPolicy(seed=1, overrides={1: 2}, candidates=(1, 2, 3)))
     back = path_model_from_doc(path_model_to_doc(pm))
     assert back.elbow_curves[1] is None
     assert back.elbow_curves[0] is not None

@@ -7,12 +7,13 @@ import pytest
 from _datagen import blob_dataset
 
 from pathens.dataio import save_csv, save_external_predictions
-from pathens.ensemble import ExternalPredictions, TIERS, load_bundle
+from pathens.ensemble import ExternalPredictions, TIERS, TierVerdict, load_bundle
 from pathens.pipeline import (
     PipelineError,
     STAGE_EXIT_CODES,
     emit_split_features,
     run_pipeline,
+    write_predictions,
 )
 from pathens.runconfig import load_run_config
 
@@ -246,3 +247,10 @@ def test_emit_split_features_rejects_bad_layers(finished_run):
     with pytest.raises(ValueError, match="layer"):
         emit_split_features(mm, fold_train, bad,
                             train.points.mean(axis=0), rm.out_dir / "scratch")
+
+
+def test_predictions_csv_layout(tmp_path):
+    tiers = [TierVerdict("bad_2", 1), TierVerdict("original_good", 0)]
+    write_predictions(tmp_path / "p.csv", tiers, np.array([1, 0]), np.array([2, 0]))
+    assert (tmp_path / "p.csv").read_text() == (
+        "index,tier,label,truth\n0,bad_2,1,2\n1,original_good,0,0\n")
